@@ -129,8 +129,7 @@ impl WindowSet {
     /// Total window cycles strictly before time `t` (counting a still-open
     /// window up to `t`).
     fn covered_before(&self, t: u64) -> u64 {
-        // Closed windows: binary search for the first window starting >= t.
-        let i = self.starts.partition_point(|&s| s < t);
+        let i = self.first_starting_at_or_after(t);
         let mut covered = if i == 0 {
             0
         } else {
@@ -145,12 +144,37 @@ impl WindowSet {
         covered
     }
 
+    /// Index of the first closed window starting at or after `t`. Queries
+    /// come from intervals ending near the current cycle, so the search
+    /// gallops back from the newest window before bisecting.
+    fn first_starting_at_or_after(&self, t: u64) -> usize {
+        // Every window in `hi..` starts at or after `t`.
+        let mut hi = self.starts.len();
+        let mut step = 1;
+        while hi > 0 {
+            let lo = hi.saturating_sub(step);
+            if self.starts[lo] < t {
+                return lo + 1 + self.starts[lo + 1..hi].partition_point(|&s| s < t);
+            }
+            hi = lo;
+            step *= 2;
+        }
+        0
+    }
+
     /// Length of the intersection of `[start, end)` with the window set
     /// (including a still-open window, treated as extending to `end`).
     #[must_use]
     pub fn overlap(&self, start: u64, end: u64) -> u64 {
         if end <= start {
             return 0;
+        }
+        if self.ends.last().is_none_or(|&e| e <= start) {
+            // Every closed window precedes the interval: only a still-open
+            // window can overlap it (the common, recent-interval case).
+            return self.open_since.map_or(0, |open| {
+                end.saturating_sub(open) - start.saturating_sub(open)
+            });
         }
         self.covered_before(end) - self.covered_before(start)
     }
@@ -178,6 +202,34 @@ mod tests {
         assert_eq!(w.overlap(150, 400), 50);
         assert_eq!(w.overlap(300, 400), 0);
         assert_eq!(w.total_cycles(), 100);
+    }
+
+    #[test]
+    fn fast_paths_agree_with_the_prefix_sums() {
+        let mut w = WindowSet::new();
+        let mut t = 3;
+        for i in 0..200u64 {
+            w.open(t);
+            t += 1 + i % 7;
+            w.close(t);
+            t += i % 5;
+        }
+        w.open(t + 3);
+        for q in 0..=t + 8 {
+            assert_eq!(
+                w.first_starting_at_or_after(q),
+                w.starts.partition_point(|&s| s < q),
+                "query {q}"
+            );
+            for len in [0, 1, 4, 40] {
+                assert_eq!(
+                    w.overlap(q, q + len),
+                    w.covered_before(q + len) - w.covered_before(q),
+                    "overlap [{q}, {})",
+                    q + len
+                );
+            }
+        }
     }
 
     #[test]

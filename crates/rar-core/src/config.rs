@@ -110,8 +110,7 @@ pub struct CoreConfig {
     /// Model wrong-path execution: dispatch synthetic micro-ops past a
     /// mispredicted branch until it resolves (they contend for back-end
     /// resources and pollute caches, then are squashed). Off by default —
-    /// the paper-calibrated numbers treat wrong-path fetch as bubbles;
-    /// see the `ablation_wrong_path` bench for its effect.
+    /// the paper-calibrated numbers treat wrong-path fetch as bubbles.
     pub model_wrong_path: bool,
 }
 

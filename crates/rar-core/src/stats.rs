@@ -61,6 +61,53 @@ impl CoreStats {
         self.mlp_sum as f64 / self.mlp_cycles as f64
     }
 
+    /// Adds `k` more times each counter's movement since `before`: a
+    /// fast-forward credits the cycles it skips with the deltas of the
+    /// stepped cycle they repeat.
+    pub(crate) fn credit_repeats(&mut self, before: &CoreStats, k: u64) {
+        // Exhaustive on purpose: a new counter must be credited too.
+        let CoreStats {
+            cycles,
+            committed,
+            branch_mispredicts,
+            mlp_sum,
+            mlp_cycles,
+            runahead_intervals,
+            runahead_cycles,
+            runahead_uops,
+            runahead_prefetches,
+            runahead_inv_loads,
+            flushes,
+            squashed,
+            rob_full_cycles,
+            iq_full_cycles,
+            head_blocked_cycles,
+            dispatched,
+            issued,
+        } = self;
+        for (now, then) in [
+            (cycles, before.cycles),
+            (committed, before.committed),
+            (branch_mispredicts, before.branch_mispredicts),
+            (mlp_sum, before.mlp_sum),
+            (mlp_cycles, before.mlp_cycles),
+            (runahead_intervals, before.runahead_intervals),
+            (runahead_cycles, before.runahead_cycles),
+            (runahead_uops, before.runahead_uops),
+            (runahead_prefetches, before.runahead_prefetches),
+            (runahead_inv_loads, before.runahead_inv_loads),
+            (flushes, before.flushes),
+            (squashed, before.squashed),
+            (rob_full_cycles, before.rob_full_cycles),
+            (iq_full_cycles, before.iq_full_cycles),
+            (head_blocked_cycles, before.head_blocked_cycles),
+            (dispatched, before.dispatched),
+            (issued, before.issued),
+        ] {
+            *now += (*now - then) * k;
+        }
+    }
+
     /// Mean runahead interval length in cycles.
     #[must_use]
     pub fn mean_runahead_interval(&self) -> f64 {

@@ -184,6 +184,32 @@ impl MemoryHierarchy {
         self.mshr.has_free(now)
     }
 
+    /// The next cycle after `now` at which an MSHR frees up, if any is
+    /// in flight.
+    #[must_use]
+    pub fn next_mshr_release(&self, now: u64) -> Option<u64> {
+        self.mshr.next_release(now)
+    }
+
+    /// Whether a demand load retried against full MSHRs changes nothing but
+    /// counters ([`MemoryHierarchy::repeat_mshr_stalls`] can replay it):
+    /// true unless the L1 prefetcher trains on it or tracing records it.
+    #[must_use]
+    pub fn mshr_stall_repeatable(&self) -> bool {
+        self.pf_l1.is_none() && self.trace.is_none()
+    }
+
+    /// Accounts `n` more demand-load accesses that miss the L1-D and
+    /// stall on full MSHRs, exactly as `n` such calls to
+    /// [`MemoryHierarchy::access`] would, for an exact fast-forward over
+    /// cycles that retry the same stalled loads. Only valid while
+    /// [`MemoryHierarchy::mshr_stall_repeatable`] holds and no MSHR frees.
+    pub fn repeat_mshr_stalls(&mut self, n: u64) {
+        debug_assert!(self.mshr_stall_repeatable());
+        self.l1d.repeat_misses(n);
+        self.stats.mshr_stalls += n;
+    }
+
     /// Whether the line containing `addr` is present in the data-side
     /// hierarchy at any level (no state perturbation).
     #[must_use]

@@ -295,11 +295,13 @@ pub fn u64_field(text: &str, key: &str) -> Result<Option<u64>, String> {
         .transpose()
 }
 
-/// Extracts `"key": [...]` and returns the raw bracket contents.
+/// Extracts `"key": [...]` (whitespace allowed before the bracket, as
+/// ordinary JSON encoders write it) and returns the raw bracket contents.
 fn list<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":[");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
+    let pat = format!("\"{key}\":");
+    let rest = text
+        .match_indices(&pat)
+        .find_map(|(at, _)| text[at + pat.len()..].trim_start().strip_prefix('['))?;
     let end = rest.find(']')?;
     Some(&rest[..end])
 }
@@ -360,6 +362,20 @@ mod tests {
             let json = spec.to_json();
             assert_eq!(JobSpec::parse(&json), Ok(spec), "{json}");
         }
+    }
+
+    #[test]
+    fn encoder_whitespace_is_accepted() {
+        // The layout Python's `json.dumps` writes by default.
+        let body = "{\"kind\": \"sweep\", \"priority\": 5, \
+                    \"workloads\": [\"mcf\", \"milc\"], \
+                    \"techniques\": [\"ooo\", \"rar\"], \"seeds\": [1, 2], \
+                    \"instructions\": 2000, \"warmup\": 300}";
+        assert_eq!(JobSpec::parse(body), Ok(sweep_spec()));
+        let newlines =
+            "{\"kind\":\"sweep\",\"workloads\":\n  [\"mcf\"],\"techniques\":\t[\"rar\"]}";
+        let spec = JobSpec::parse(newlines).expect("parse");
+        assert_eq!(spec.total_units(), 1);
     }
 
     #[test]

@@ -159,3 +159,54 @@ fn experiment_options_share_one_session_across_matrices() {
     assert_eq!(s.refinement_memo_misses, 1);
     assert_eq!(s.refinement_memo_hits, 2);
 }
+
+/// A four-workload grid at a small budget under four techniques.
+fn small_grid(instructions: u64) -> Vec<SimConfig> {
+    let mut grid = Vec::new();
+    for w in ["mcf", "libquantum", "milc", "lbm"] {
+        for t in [
+            Technique::Ooo,
+            Technique::Flush,
+            Technique::Pre,
+            Technique::Rar,
+        ] {
+            grid.push(
+                SimConfig::builder()
+                    .workload(w)
+                    .technique(t)
+                    .warmup(instructions / 4)
+                    .instructions(instructions)
+                    .build(),
+            );
+        }
+    }
+    grid
+}
+
+#[test]
+fn quick_run_runs() {
+    let r = Simulation::run(
+        &SimConfig::builder()
+            .workload("milc")
+            .technique(Technique::Rar)
+            .warmup(1_500 / 4)
+            .instructions(1_500)
+            .build(),
+    );
+    assert!(r.ipc() > 0.0);
+}
+
+#[test]
+fn sweep_grid_runs_and_memoizes() {
+    let session = SweepSession::new();
+    let results = session.run_all(&small_grid(800));
+    assert!(
+        results.iter().all(Option::is_some),
+        "every cell must succeed"
+    );
+    let stats = session.stats();
+    assert_eq!(stats.simulated, 16);
+    // Four workloads, one seed: four generations, twelve reuses.
+    assert_eq!(stats.trace_memo_misses, 4);
+    assert_eq!(stats.trace_memo_hits, 12);
+}
